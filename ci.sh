@@ -16,6 +16,13 @@ cargo build --release
 echo "==> tier-1: cargo test"
 cargo test -q
 
+# Gating: the benchmark's own tests. perfbench is a separate package that
+# compiles against the staged front end (lexer::lex, parser::parse,
+# lower::lower) and pins its exact token count and answers, so a
+# front-end API or output change fails here rather than in a benchmark run.
+echo "==> tier-1: perfbench tests (staged front-end API, counts, answers)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Gating: the fault-injection / governance suite (all four Termination
 # variants, budget determinism, mid-run demotion soundness).
 echo "==> tier-1: governance + fault-injection suite"

@@ -51,8 +51,10 @@ pub struct ProgramBuilder {
     invos: Vec<InvoInfo>,
     entry_points: Vec<MethodId>,
     type_by_name: FxHashMap<String, TypeId>,
-    sig_by_key: FxHashMap<(String, usize), SigId>,
-    field_by_key: FxHashMap<(TypeId, String), FieldId>,
+    /// Signatures by arity, then name; fields by owner, then name. Nested
+    /// so a lookup by `&str` needs no owned key.
+    sig_by_arity: Vec<FxHashMap<String, SigId>>,
+    field_by_owner: FxHashMap<TypeId, FxHashMap<String, FieldId>>,
 }
 
 impl ProgramBuilder {
@@ -94,7 +96,7 @@ impl ProgramBuilder {
 
     /// Interns a method signature (name, arity).
     pub fn sig(&mut self, name: &str, arity: usize) -> SigId {
-        if let Some(&id) = self.sig_by_key.get(&(name.to_owned(), arity)) {
+        if let Some(&id) = self.sig_by_arity.get(arity).and_then(|m| m.get(name)) {
             return id;
         }
         let id = SigId::from_index(self.sigs.len());
@@ -102,7 +104,10 @@ impl ProgramBuilder {
             name: name.to_owned(),
             arity,
         });
-        self.sig_by_key.insert((name.to_owned(), arity), id);
+        if self.sig_by_arity.len() <= arity {
+            self.sig_by_arity.resize_with(arity + 1, FxHashMap::default);
+        }
+        self.sig_by_arity[arity].insert(name.to_owned(), id);
         id
     }
 
@@ -117,7 +122,8 @@ impl ProgramBuilder {
     }
 
     fn field_impl(&mut self, owner: TypeId, name: &str, is_static: bool) -> FieldId {
-        if let Some(&id) = self.field_by_key.get(&(owner, name.to_owned())) {
+        let by_name = self.field_by_owner.entry(owner).or_default();
+        if let Some(&id) = by_name.get(name) {
             assert_eq!(
                 self.fields[id.index()].is_static,
                 is_static,
@@ -126,12 +132,12 @@ impl ProgramBuilder {
             return id;
         }
         let id = FieldId::from_index(self.fields.len());
+        by_name.insert(name.to_owned(), id);
         self.fields.push(FieldInfo {
             name: name.to_owned(),
             owner,
             is_static,
         });
-        self.field_by_key.insert((owner, name.to_owned()), id);
         id
     }
 

@@ -65,13 +65,15 @@ pub mod lexer;
 pub mod lower;
 pub mod parser;
 pub mod printer;
+pub mod symbols;
 
 pub use error::{LangError, Location};
 pub use printer::print_program;
 
 use pta_ir::Program;
 
-/// Parses and lowers a `.jir` source text into a [`Program`].
+/// Parses and lowers a `.jir` source text into a [`Program`], running the
+/// three stages [`lexer::lex`], [`parser::parse`] and [`lower::lower`].
 ///
 /// # Errors
 ///

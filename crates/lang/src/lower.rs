@@ -11,12 +11,20 @@
 //! Field names must be unique program-wide (diagnosed otherwise); prefix
 //! with the class name (`box_value`) when two classes need a same-named
 //! field. This keeps field uses resolvable without local type annotations.
+//!
+//! Names resolve through one table indexed by [`Sym`], so resolution never
+//! hashes a string. It holds the current method's locals too; they are
+//! cleared between methods by undoing exactly the entries the method bound.
+
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 use pta_ir::hash::FxHashMap;
 use pta_ir::{FieldId, MethodId, Program, ProgramBuilder, TypeId, VarId};
 
-use crate::ast::{ClassDecl, MethodDecl, Module, StmtKind};
+use crate::ast::{ClassDecl, Module, StmtKind};
 use crate::error::LangError;
+use crate::symbols::{Sym, Symbols};
 
 /// Lowers a parsed module into a validated [`Program`].
 ///
@@ -28,15 +36,36 @@ pub fn lower(module: &Module) -> Result<Program, LangError> {
     Lowerer::default().run(module)
 }
 
+/// What one symbol names: a class, a field, a local of the current method.
+#[derive(Debug, Clone, Copy, Default)]
+struct Named {
+    class: Option<TypeId>,
+    field: Option<FieldId>,
+    local: Option<VarId>,
+}
+
+/// A declared method: its ID, arity and staticness.
+type Declared = (MethodId, usize, bool);
+
+const UNASSIGNED: &str = " is used but never assigned";
+const NEITHER: &str = " is neither a local variable nor a class";
+
 #[derive(Default)]
 struct Lowerer {
+    symbols: Arc<Symbols>,
     builder: ProgramBuilder,
-    classes: FxHashMap<String, TypeId>,
-    fields: FxHashMap<String, FieldId>,
-    /// (class, method name) -> (id, arity, is_static)
-    methods: FxHashMap<(TypeId, String), (MethodId, usize, bool)>,
-    /// Superclass links, kept for static-method resolution up the chain.
-    parents: FxHashMap<TypeId, Option<TypeId>>,
+    named: Vec<Named>,
+    /// (class, method name) -> the method it declares.
+    methods: FxHashMap<(TypeId, Sym), Declared>,
+    /// Superclass links by type index, for static-method resolution.
+    parents: Vec<Option<TypeId>>,
+    /// Symbols with a local bound in the current method (the undo list).
+    bound: Vec<Sym>,
+    /// Argument buffer for the call being lowered.
+    args: Vec<VarId>,
+    /// `Class.method` of the current method, then the site label being built.
+    label: String,
+    qualified_len: usize,
 }
 
 fn err(message: impl Into<String>) -> LangError {
@@ -47,30 +76,25 @@ fn err(message: impl Into<String>) -> LangError {
 
 impl Lowerer {
     fn run(mut self, module: &Module) -> Result<Program, LangError> {
+        self.symbols = Arc::clone(&module.symbols);
+        self.named = vec![Named::default(); module.symbols.len()];
         self.declare_classes(module)?;
         self.declare_members(module)?;
         for class in &module.classes {
-            let ty = self.classes[&class.name];
-            for method in &class.methods {
-                self.lower_body(class, ty, method)?;
+            for index in class.methods.start as usize..class.methods.end as usize {
+                self.lower_body(module, class.name, index)?;
             }
         }
-        for entry in &module.entries {
-            let ty = *self
-                .classes
-                .get(&entry.class)
-                .ok_or_else(|| err(format!("entry names unknown class `{}`", entry.class)))?;
-            let (meth, _, is_static) = self.resolve_method(ty, &entry.method).ok_or_else(|| {
-                err(format!(
-                    "entry names unknown method `{}.{}`",
-                    entry.class, entry.method
-                ))
-            })?;
+        for &(class_sym, method_sym) in &module.entries {
+            let (class, method) = (module.name(class_sym), module.name(method_sym));
+            let ty = self.named[class_sym.index()]
+                .class
+                .ok_or_else(|| err(format!("entry names unknown class `{class}`")))?;
+            let (meth, _, is_static) = self
+                .resolve_method(ty, method_sym)
+                .ok_or_else(|| err(format!("entry names unknown method `{class}.{method}`")))?;
             if !is_static {
-                return Err(err(format!(
-                    "entry `{}.{}` must be static",
-                    entry.class, entry.method
-                )));
+                return Err(err(format!("entry `{class}.{method}` must be static")));
             }
             self.builder.entry_point(meth);
         }
@@ -81,33 +105,30 @@ impl Lowerer {
     /// by iterating to a fixpoint. Remaining unresolved classes indicate an
     /// unknown parent or an inheritance cycle.
     fn declare_classes(&mut self, module: &Module) -> Result<(), LangError> {
-        let mut pending: Vec<&ClassDecl> = module.classes.iter().collect();
         // Duplicate check first for a clearer message.
-        {
-            let mut seen = FxHashMap::default();
-            for c in &pending {
-                if seen.insert(c.name.clone(), ()).is_some() {
-                    return Err(err(format!("class `{}` declared twice", c.name)));
-                }
+        let mut seen = vec![false; self.named.len()];
+        for c in &module.classes {
+            if std::mem::replace(&mut seen[c.name.index()], true) {
+                let name = module.name(c.name);
+                return Err(err(format!("class `{name}` declared twice")));
             }
         }
+        let mut pending: Vec<&ClassDecl> = module.classes.iter().collect();
         while !pending.is_empty() {
             let before = pending.len();
             pending.retain(|class| {
-                let parent = match &class.parent {
-                    None => None,
-                    Some(p) => match self.classes.get(p) {
-                        Some(&ty) => Some(ty),
-                        None => return true, // try again next round
-                    },
+                let parent = match class.parent.map(|p| self.named[p.index()].class) {
+                    Some(None) => return true, // try again next round
+                    resolved => resolved.flatten(),
                 };
-                let ty = self.builder.class(&class.name, parent);
-                self.classes.insert(class.name.clone(), ty);
-                self.parents.insert(ty, parent);
+                // Names are unique, so each class gets the next type ID.
+                let ty = self.builder.class(module.name(class.name), parent);
+                self.named[class.name.index()].class = Some(ty);
+                self.parents.push(parent);
                 false
             });
             if pending.len() == before {
-                let names: Vec<&str> = pending.iter().map(|c| c.name.as_str()).collect();
+                let names: Vec<&str> = pending.iter().map(|c| module.name(c.name)).collect();
                 return Err(err(format!(
                     "unresolved superclass or inheritance cycle involving: {}",
                     names.join(", ")
@@ -117,254 +138,251 @@ impl Lowerer {
         Ok(())
     }
 
+    /// Declares fields and methods. Methods are declared in module order,
+    /// so `module.methods[i]` becomes `MethodId` `i`.
     fn declare_members(&mut self, module: &Module) -> Result<(), LangError> {
+        let mut params: Vec<&str> = Vec::new();
         for class in &module.classes {
-            let ty = self.classes[&class.name];
-            for field in &class.fields {
-                if self.fields.contains_key(field) {
+            let ty = self.named[class.name.index()].class.expect("declared");
+            // Instance fields first, then static ones.
+            let fields = class.fields.of(&module.fields);
+            let instance = fields.iter().filter(|f| !f.1);
+            for &(field, is_static) in instance.chain(fields.iter().filter(|f| f.1)) {
+                let name = module.name(field);
+                if self.named[field.index()].field.is_some() {
                     return Err(err(format!(
-                        "field `{field}` declared in more than one class; field names must be \
+                        "field `{name}` declared in more than one class; field names must be \
                          unique program-wide (prefix with the class name)"
                     )));
                 }
-                let id = self.builder.field(ty, field);
-                self.fields.insert(field.clone(), id);
+                let id = if is_static {
+                    self.builder.static_field(ty, name)
+                } else {
+                    self.builder.field(ty, name)
+                };
+                self.named[field.index()].field = Some(id);
             }
-            for field in &class.static_fields {
-                if self.fields.contains_key(field) {
-                    return Err(err(format!(
-                        "field `{field}` declared in more than one class; field names must be \
-                         unique program-wide (prefix with the class name)"
-                    )));
+            for method in class.methods.of(&module.methods) {
+                let (cname, mname) = (module.name(class.name), module.name(method.name));
+                if self.methods.contains_key(&(ty, method.name)) {
+                    return Err(err(format!("method `{cname}.{mname}` declared twice")));
                 }
-                let id = self.builder.static_field(ty, field);
-                self.fields.insert(field.clone(), id);
-            }
-            for method in &class.methods {
-                let key = (ty, method.name.clone());
-                if self.methods.contains_key(&key) {
-                    return Err(err(format!(
-                        "method `{}.{}` declared twice",
-                        class.name, method.name
-                    )));
-                }
-                let params: Vec<&str> = method.params.iter().map(String::as_str).collect();
-                let id = self
-                    .builder
-                    .method(ty, &method.name, &params, method.is_static);
-                self.methods
-                    .insert(key, (id, method.params.len(), method.is_static));
+                params.clear();
+                let names = method.params.of(&module.names);
+                params.extend(names.iter().map(|&p| module.name(p)));
+                let id = self.builder.method(ty, mname, &params, method.is_static);
+                let declared = (id, params.len(), method.is_static);
+                self.methods.insert((ty, method.name), declared);
             }
         }
         Ok(())
     }
 
-    /// Resolves `name` on `ty` or the nearest ancestor declaring it.
-    fn resolve_method(&self, ty: TypeId, name: &str) -> Option<(MethodId, usize, bool)> {
-        // Walk up the superclass chain using builder-declared parents. The
-        // chain is finite because declare_classes rejected cycles.
+    /// Resolves `name` on `ty` or the nearest ancestor declaring it. The
+    /// chain is finite because `declare_classes` rejected cycles.
+    fn resolve_method(&self, ty: TypeId, name: Sym) -> Option<Declared> {
         let mut cur = Some(ty);
         while let Some(t) = cur {
-            if let Some(&found) = self.methods.get(&(t, name.to_owned())) {
+            if let Some(&found) = self.methods.get(&(t, name)) {
                 return Some(found);
             }
-            cur = self.parent_of(t);
+            cur = self.parents[t.index()];
         }
         None
     }
 
-    fn parent_of(&self, ty: TypeId) -> Option<TypeId> {
-        // The builder does not expose parents, so consult our own map via
-        // the module-declared names. Cheaper: store parents alongside.
-        self.parents.get(&ty).copied().flatten()
+    fn bind(&mut self, name: Sym, var: VarId) {
+        if self.named[name.index()].local.replace(var).is_none() {
+            self.bound.push(name);
+        }
     }
 
-    fn lower_body(
-        &mut self,
-        class: &ClassDecl,
-        ty: TypeId,
-        method: &MethodDecl,
-    ) -> Result<(), LangError> {
-        let (meth, _, _) = self.methods[&(ty, method.name.clone())];
-        self.builder.set_method_loc(meth, method.location);
-        let qualified = format!("{}.{}", class.name, method.name);
+    /// The local a statement assigns (pass 1 bound every one).
+    fn target(&self, name: Sym) -> VarId {
+        self.named[name.index()].local.expect("bound in pass 1")
+    }
+
+    /// An error inside the current method.
+    fn fail(&self, message: fmt::Arguments<'_>) -> LangError {
+        let qualified = &self.label[..self.qualified_len];
+        err(format!("in {qualified}: {message}"))
+    }
+
+    /// `found`, or the error "{pre}`name`{post}".
+    fn or_fail<T>(&self, found: Option<T>, pre: &str, n: Sym, post: &str) -> Result<T, LangError> {
+        let name = self.symbols.name(n);
+        found.ok_or_else(|| self.fail(format_args!("{pre}`{name}`{post}")))
+    }
+
+    fn use_var(&self, name: Sym) -> Result<VarId, LangError> {
+        let local = self.named[name.index()].local;
+        self.or_fail(local, "variable ", name, UNASSIGNED)
+    }
+
+    fn class(&self, name: Sym, post: &str) -> Result<TypeId, LangError> {
+        let class = self.named[name.index()].class;
+        self.or_fail(class, "unknown class ", name, post)
+    }
+
+    fn field(&self, name: Sym) -> Result<FieldId, LangError> {
+        let field = self.named[name.index()].field;
+        self.or_fail(field, "unknown field ", name, "")
+    }
+
+    /// The local `name` names, else the class (locals shadow classes).
+    fn local_or_class(&self, name: Sym) -> Result<Result<VarId, TypeId>, LangError> {
+        let Named { class, local, .. } = self.named[name.index()];
+        self.or_fail(local.map(Ok).or(class.map(Err)), "", name, NEITHER)
+    }
+
+    /// The method a static call `recv.method(args)` on class `cty` targets.
+    fn static_target(&self, cty: TypeId, recv: Sym, method: Sym) -> Result<MethodId, LangError> {
+        let (r, m) = (self.symbols.name(recv), self.symbols.name(method));
+        let Some((target, arity, is_static)) = self.resolve_method(cty, method) else {
+            return Err(self.fail(format_args!("unknown static method `{r}.{m}`")));
+        };
+        if !is_static {
+            let why = "is an instance method; call it on a variable";
+            return Err(self.fail(format_args!("`{r}.{m}` {why}")));
+        }
+        let got = self.args.len();
+        if arity != got {
+            let why = format!("expects {arity} arguments, got {got}");
+            return Err(self.fail(format_args!("`{r}.{m}` {why}")));
+        }
+        Ok(target)
+    }
+
+    /// Sets `label` to `Class.method/{kind}{name}#{n}`.
+    fn site_label(&mut self, kind: &str, name: &str, n: usize) {
+        self.label.truncate(self.qualified_len);
+        let _ = write!(self.label, "/{kind}{name}#{n}");
+    }
+
+    fn lower_body(&mut self, module: &Module, class: Sym, index: usize) -> Result<(), LangError> {
+        let decl = &module.methods[index];
+        let meth = MethodId::from_index(index);
+        self.builder.set_method_loc(meth, decl.location);
+        let (cname, mname) = (module.name(class), module.name(decl.name));
+        self.label.clear();
+        let _ = write!(self.label, "{cname}.{mname}");
+        self.qualified_len = self.label.len();
+        for name in self.bound.drain(..) {
+            self.named[name.index()].local = None;
+        }
 
         // Pass 1: names assigned somewhere in the body (flow-insensitive
-        // definition set).
-        let mut vars: FxHashMap<String, VarId> = FxHashMap::default();
-        if let Some(this) = self.builder.this(meth) {
-            vars.insert("this".to_owned(), this);
+        // definition set). A later parameter of the same name wins.
+        if let (Some(this), Some(var)) = (self.symbols.get("this"), self.builder.this(meth)) {
+            self.bind(this, var);
         }
-        for (i, p) in method.params.iter().enumerate() {
-            vars.insert(p.clone(), self.builder.formals(meth)[i]);
+        for (i, &p) in decl.params.of(&module.names).iter().enumerate() {
+            self.bind(p, self.builder.formals(meth)[i]);
         }
-        for stmt in &method.body {
-            let target = match &stmt.kind {
-                StmtKind::Alloc { to, .. }
-                | StmtKind::Move { to, .. }
-                | StmtKind::Cast { to, .. }
-                | StmtKind::Load { to, .. } => Some(to),
-                StmtKind::Call { to: Some(to), .. } => Some(to),
-                _ => None,
+        let body = decl.body.of(&module.stmts);
+        for stmt in body {
+            let (StmtKind::Alloc { to, .. }
+            | StmtKind::Move { to, .. }
+            | StmtKind::Cast { to, .. }
+            | StmtKind::Load { to, .. }
+            | StmtKind::Call { to: Some(to), .. }) = stmt.kind
+            else {
+                continue;
             };
-            if let Some(name) = target {
-                if !vars.contains_key(name) {
-                    let v = self.builder.var(meth, name);
-                    vars.insert(name.clone(), v);
-                }
+            if self.named[to.index()].local.is_none() {
+                let var = self.builder.var(meth, module.name(to));
+                self.bind(to, var);
             }
         }
-
-        let use_var = |vars: &FxHashMap<String, VarId>, name: &str| -> Result<VarId, LangError> {
-            vars.get(name).copied().ok_or_else(|| {
-                err(format!(
-                    "in {qualified}: variable `{name}` is used but never assigned"
-                ))
-            })
-        };
 
         // Catch binders are implicit definitions.
-        for (ty_name, binder) in &method.catches {
-            let cty = *self
-                .classes
-                .get(ty_name)
-                .ok_or_else(|| err(format!("in {qualified}: unknown catch type `{ty_name}`")))?;
-            if vars.contains_key(binder) {
-                return Err(err(format!(
-                    "in {qualified}: catch binder `{binder}` shadows another variable"
+        for clause in decl.catches.of(&module.names).chunks_exact(2) {
+            let (ty, binder) = (clause[0], clause[1]);
+            let cty = self.or_fail(self.named[ty.index()].class, "unknown catch type ", ty, "")?;
+            if self.named[binder.index()].local.is_some() {
+                let name = module.name(binder);
+                return Err(self.fail(format_args!(
+                    "catch binder `{name}` shadows another variable"
                 )));
             }
-            let v = self.builder.catch_clause(meth, cty, binder);
-            vars.insert(binder.clone(), v);
+            let var = self.builder.catch_clause(meth, cty, module.name(binder));
+            self.bind(binder, var);
         }
 
         // Return handling: a single `return v;` sets the return variable
         // directly; multiple returns move into a synthetic `$ret`.
-        let return_count = method
-            .body
+        let returns = body
             .iter()
-            .filter(|s| matches!(s.kind, StmtKind::Return { .. }))
-            .count();
-        let ret_var = if return_count > 1 {
+            .filter(|s| matches!(s.kind, StmtKind::Return { .. }));
+        let ret_var = (returns.count() > 1).then(|| {
             let v = self.builder.var(meth, "$ret");
             self.builder.set_return(meth, v);
-            Some(v)
-        } else {
-            None
-        };
+            v
+        });
 
         // Pass 2: lower statements.
-        let mut alloc_counter = 0usize;
-        let mut invo_counter = 0usize;
-        for stmt in &method.body {
+        let (mut allocs, mut invos) = (0usize, 0usize);
+        for stmt in body {
             let emitted_before = self.builder.instrs(meth).len();
-            match &stmt.kind {
-                StmtKind::Alloc { to, class: cname } => {
-                    let to = vars[to];
-                    let cty = *self.classes.get(cname).ok_or_else(|| {
-                        err(format!("in {qualified}: unknown class `{cname}` in `new`"))
-                    })?;
-                    let label = format!("{qualified}/new {cname}#{alloc_counter}");
-                    alloc_counter += 1;
-                    self.builder.alloc(meth, to, cty, &label);
+            match stmt.kind {
+                StmtKind::Alloc { to, class } => {
+                    let cty = self.class(class, " in `new`")?;
+                    self.site_label("new ", module.name(class), allocs);
+                    allocs += 1;
+                    self.builder.alloc(meth, self.target(to), cty, &self.label);
                 }
                 StmtKind::Move { to, from } => {
-                    let from = use_var(&vars, from)?;
-                    self.builder.move_(meth, vars[to], from);
+                    let from = self.use_var(from)?;
+                    self.builder.move_(meth, self.target(to), from);
                 }
-                StmtKind::Cast {
-                    to,
-                    class: cname,
-                    from,
-                } => {
-                    let from = use_var(&vars, from)?;
-                    let cty = *self.classes.get(cname).ok_or_else(|| {
-                        err(format!("in {qualified}: unknown class `{cname}` in cast"))
-                    })?;
-                    self.builder.cast(meth, vars[to], from, cty);
+                StmtKind::Cast { to, class, from } => {
+                    let from = self.use_var(from)?;
+                    let cty = self.class(class, " in cast")?;
+                    self.builder.cast(meth, self.target(to), from, cty);
                 }
                 StmtKind::Load { to, base, field } => {
-                    let f = *self
-                        .fields
-                        .get(field)
-                        .ok_or_else(|| err(format!("in {qualified}: unknown field `{field}`")))?;
-                    if let Some(&base) = vars.get(base) {
-                        self.builder.load(meth, vars[to], base, f);
-                    } else if self.classes.contains_key(base) {
-                        // `x = Class.field` — static-field load.
-                        self.builder.sload(meth, vars[to], f);
-                    } else {
-                        return Err(err(format!(
-                            "in {qualified}: `{base}` is neither a local variable nor a class"
-                        )));
+                    let (f, to) = (self.field(field)?, self.target(to));
+                    match self.local_or_class(base)? {
+                        Ok(base) => self.builder.load(meth, to, base, f),
+                        Err(_) => self.builder.sload(meth, to, f), // `x = Class.field`
                     }
                 }
                 StmtKind::Store { base, field, from } => {
-                    let from = use_var(&vars, from)?;
-                    let f = *self
-                        .fields
-                        .get(field)
-                        .ok_or_else(|| err(format!("in {qualified}: unknown field `{field}`")))?;
-                    if let Some(&base) = vars.get(base) {
-                        self.builder.store(meth, base, f, from);
-                    } else if self.classes.contains_key(base) {
-                        // `Class.field = x` — static-field store.
-                        self.builder.sstore(meth, f, from);
-                    } else {
-                        return Err(err(format!(
-                            "in {qualified}: `{base}` is neither a local variable nor a class"
-                        )));
+                    let (from, f) = (self.use_var(from)?, self.field(field)?);
+                    match self.local_or_class(base)? {
+                        Ok(base) => self.builder.store(meth, base, f, from),
+                        Err(_) => self.builder.sstore(meth, f, from), // `Class.field = x`
                     }
                 }
                 StmtKind::Call {
                     to,
                     recv,
-                    method: mname,
+                    method,
                     args,
                 } => {
-                    let ret = to.as_ref().map(|name| vars[name]);
-                    let arg_ids: Vec<VarId> = args
-                        .iter()
-                        .map(|a| use_var(&vars, a))
-                        .collect::<Result<_, _>>()?;
-                    let label = format!("{qualified}/{mname}#{invo_counter}");
-                    invo_counter += 1;
-                    if let Some(&base) = vars.get(recv) {
-                        // Virtual call on a local.
-                        self.builder.vcall(meth, base, mname, &arg_ids, ret, &label);
-                    } else if let Some(&cty) = self.classes.get(recv) {
-                        // Static call on a class.
-                        let (target, arity, is_static) =
-                            self.resolve_method(cty, mname).ok_or_else(|| {
-                                err(format!(
-                                    "in {qualified}: unknown static method `{recv}.{mname}`"
-                                ))
-                            })?;
-                        if !is_static {
-                            return Err(err(format!(
-                                "in {qualified}: `{recv}.{mname}` is an instance method; call it \
-                                 on a variable"
-                            )));
-                        }
-                        if arity != arg_ids.len() {
-                            return Err(err(format!(
-                                "in {qualified}: `{recv}.{mname}` expects {arity} arguments, got {}",
-                                arg_ids.len()
-                            )));
-                        }
-                        self.builder.scall(meth, target, &arg_ids, ret, &label);
-                    } else {
-                        return Err(err(format!(
-                            "in {qualified}: `{recv}` is neither a local variable nor a class"
-                        )));
+                    let ret = to.map(|to| self.target(to));
+                    self.args.clear();
+                    for &a in args.of(&module.names) {
+                        self.args.push(self.use_var(a)?);
                     }
+                    let name = module.name(method);
+                    self.site_label("", name, invos);
+                    invos += 1;
+                    let (args, label) = (&self.args, &self.label);
+                    match self.local_or_class(recv)? {
+                        Ok(base) => self.builder.vcall(meth, base, name, args, ret, label),
+                        Err(cty) => {
+                            let target = self.static_target(cty, recv, method)?;
+                            self.builder.scall(meth, target, args, ret, label)
+                        }
+                    };
                 }
                 StmtKind::Throw { var } => {
-                    let v = use_var(&vars, var)?;
+                    let v = self.use_var(var)?;
                     self.builder.throw(meth, v);
                 }
                 StmtKind::Return { var } => {
-                    let v = use_var(&vars, var)?;
+                    let v = self.use_var(var)?;
                     match ret_var {
                         Some(synthetic) => self.builder.move_(meth, synthetic, v),
                         None => self.builder.set_return(meth, v),

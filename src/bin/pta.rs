@@ -14,7 +14,9 @@
 //!     --hot                print the context/tuple distribution and the
 //!                          methods dominating analysis cost
 //!     --stats              print the solver's internal counters (rule
-//!                          firings, dedup traffic, worklist shape)
+//!                          firings, dedup traffic, worklist shape); in
+//!                          JSON also the front-end stage times (ms) under
+//!                          "phases"
 //!     --format text|json   output format (default text); json emits one
 //!                          object per analysis with any --metrics under
 //!                          "metrics" and any --stats under "stats"
@@ -33,8 +35,9 @@
 //!                          and keep going instead of stopping (specialized
 //!                          solver only); each demoted method is reported
 //!                          as a W007 diagnostic
-//!     --trace FILE         record a Chrome trace-event timeline (session
-//!                          phases, per-rule spans, per-shard BSP rounds)
+//!     --trace FILE         record a Chrome trace-event timeline (front-end
+//!                          stages read/lex/parse/lower, session phases,
+//!                          per-rule spans, per-shard BSP rounds)
 //!                          and write it to FILE; load in Perfetto or
 //!                          chrome://tracing
 //!     --profile            collect and print the per-rule evaluation
@@ -146,7 +149,7 @@
 //! ```
 
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pta_clients::{
     context_stats, may_fail_casts, poly_virtual_calls, precision_metrics, run_check, CheckSpec,
@@ -155,7 +158,8 @@ use pta_clients::{
 use pta_core::{Analysis, AnalysisSession, Backend, Budget, CancelToken, PointsToResult, Trace};
 use pta_govern::parse_byte_size;
 use pta_ir::Program;
-use pta_lang::{parse_program, print_program};
+use pta_lang::{lexer, lower, parse_program, parser, print_program};
+use pta_obs::TraceScope;
 use pta_serve::{FaultInjector, ProgramSource, ServeConfig};
 use pta_workload::{dacapo_config, generate, EditStream, DACAPO_NAMES};
 
@@ -400,29 +404,28 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         Trace::disabled()
     };
     let mut ts = trace.scope_named(0, "main");
-    let t_parse = ts.now_ns();
-    let source = match std::fs::read_to_string(path) {
+    // The front end runs stage by stage so each stage is timed under the
+    // layer names the benchmark uses: spans with --trace, and `phases`
+    // (ms) in the --stats JSON.
+    let mut phases: Vec<(&'static str, f64)> = Vec::with_capacity(4);
+    let source = match stage("read", &mut phases, &mut ts, || {
+        std::fs::read_to_string(path)
+    }) {
         Ok(s) => s,
         Err(e) => {
             return io_error(format!("cannot read {path}: {e}"));
         }
     };
-    let program = match parse_program(&source) {
+    let front_end = stage("lex", &mut phases, &mut ts, || lexer::lex(&source)).and_then(|tokens| {
+        let module = stage("parse", &mut phases, &mut ts, || parser::parse(&tokens))?;
+        stage("lower", &mut phases, &mut ts, || lower::lower(&module))
+    });
+    let program = match front_end {
         Ok(p) => p,
         Err(e) => {
             return parse_error(path, &e);
         }
     };
-    if ts.is_enabled() {
-        let t_end = ts.now_ns();
-        ts.complete(
-            "parse",
-            "session",
-            t_parse,
-            t_end - t_parse,
-            &[("bytes", source.len() as u64)],
-        );
-    }
     // Governed runs get cooperative ctrl-c: SIGINT flips the token and the
     // solver stops at the next batch boundary with a tagged partial result.
     // Ungoverned runs keep the zero-overhead path (and default SIGINT).
@@ -456,7 +459,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         return usage_error("--explain requires the specialized solver (drop --datalog)");
     }
     for analysis in analyses {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let mut session = AnalysisSession::open(program.clone())
             .policy(analysis)
             .backend(if datalog {
@@ -655,6 +658,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
                     include_profile: profile,
                     demoted,
                     peak_rss_bytes: stats.then(pta_govern::memtrack::peak_bytes),
+                    phases: if stats { &phases } else { &[] },
                 }
             })
             .collect();
@@ -671,6 +675,22 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// Runs one front-end stage, recording its wall time in `phases` and, when
+/// tracing, a `session` span of the same name.
+fn stage<T>(
+    name: &'static str,
+    phases: &mut Vec<(&'static str, f64)>,
+    ts: &mut TraceScope,
+    run: impl FnOnce() -> T,
+) -> T {
+    let (start_ns, clock) = (ts.now_ns(), Instant::now());
+    let out = run();
+    let elapsed = clock.elapsed();
+    ts.complete(name, "session", start_ns, elapsed.as_nanos() as u64, &[]);
+    phases.push((name, elapsed.as_secs_f64() * 1e3));
+    out
 }
 
 fn print_points_to(program: &Program, result: &PointsToResult, name: &str) {

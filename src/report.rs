@@ -70,6 +70,11 @@ pub struct AnalysisReport<'a> {
     /// ([`pta_govern::memtrack`]); `None` outside `--stats` runs so the
     /// default report stays byte-reproducible across machines.
     pub peak_rss_bytes: Option<u64>,
+    /// Front-end stage wall times in ms, as `(stage, ms)` in run order
+    /// (`read`, `lex`, `parse`, `lower`); rendered under `"phases"` with
+    /// the other `--stats` keys when non-empty. Host-measured like the
+    /// peak.
+    pub phases: &'a [(&'static str, f64)],
 }
 
 impl AnalysisReport<'_> {
@@ -149,6 +154,14 @@ impl AnalysisReport<'_> {
             // v2: unknown keys are optional for consumers).
             if let Some(peak) = self.peak_rss_bytes {
                 out.push_str(&format!(",\"peak_rss_bytes\":{peak}"));
+            }
+            if !self.phases.is_empty() {
+                let phases: Vec<String> = self
+                    .phases
+                    .iter()
+                    .map(|(name, ms)| format!("\"{name}\":{ms}"))
+                    .collect();
+                out.push_str(&format!(",\"phases\":{{{}}}", phases.join(",")));
             }
         }
         if self.include_profile {

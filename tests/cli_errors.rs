@@ -77,6 +77,21 @@ fn frontend_errors_reuse_the_lint_codes_with_the_path_as_context() {
 }
 
 #[test]
+fn non_ascii_input_names_the_whole_character() {
+    let path = std::env::temp_dir().join(format!("pta-cli-non-ascii-{}.jir", std::process::id()));
+    std::fs::write(&path, "x = new Object; é = x;").unwrap();
+    let out = pta(&["lint", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let report = format!("{}{}", stderr(&out), String::from_utf8_lossy(&out.stdout));
+    assert!(report.contains("error[E007]"), "{report}");
+    assert!(
+        report.contains("unexpected character 'é' (at 1:17)"),
+        "{report}"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn e030_and_e031_are_documented_codes() {
     for code in ["E030", "E031"] {
         let out = pta(&["lint", "--explain", code]);

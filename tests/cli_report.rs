@@ -27,6 +27,7 @@ fn minimal_report_golden() {
         include_profile: false,
         demoted: &[],
         peak_rss_bytes: None,
+        phases: &[],
     };
     assert_eq!(
         report.to_json(),
@@ -54,6 +55,7 @@ fn demoted_sites_golden() {
         include_profile: false,
         demoted: &demoted,
         peak_rss_bytes: None,
+        phases: &[],
     };
     assert_eq!(
         report.to_json(),
@@ -82,6 +84,7 @@ fn stats_ride_under_the_stats_key() {
         include_profile: false,
         demoted: &[],
         peak_rss_bytes: None,
+        phases: &[],
     };
     let json = report.to_json();
     // The counters appear as a nested object under "stats", mirroring the
@@ -114,6 +117,7 @@ fn stats_ride_under_the_stats_key() {
         include_profile: false,
         demoted: &[],
         peak_rss_bytes: None,
+        phases: &[],
     };
     assert!(!lean.to_json().contains("\"governance\""));
 }
@@ -136,6 +140,7 @@ fn profile_rides_under_the_profile_key() {
         include_profile: true,
         demoted: &[],
         peak_rss_bytes: None,
+        phases: &[],
     };
     let json = report.to_json();
     assert!(
@@ -159,6 +164,7 @@ fn profile_rides_under_the_profile_key() {
         include_profile: true,
         demoted: &[],
         peak_rss_bytes: None,
+        phases: &[],
     };
     assert!(!lean.to_json().contains("\"profile\""));
 }
@@ -181,6 +187,7 @@ fn parallel_runs_expose_shard_stats() {
         include_profile: false,
         demoted: &[],
         peak_rss_bytes: None,
+        phases: &[],
     };
     let json = report.to_json();
     assert!(json.contains("\"threads\":2,"));
@@ -205,6 +212,7 @@ fn parallel_runs_expose_shard_stats() {
         include_profile: false,
         demoted: &[],
         peak_rss_bytes: None,
+        phases: &[],
     };
     assert!(!lean.to_json().contains("\"shard_stats\""));
 }
@@ -227,6 +235,7 @@ fn metrics_and_array_shape_golden() {
         include_profile: false,
         demoted: &[],
         peak_rss_bytes: None,
+        phases: &[],
     }];
     let json = reports_to_json(&reports);
     assert_eq!(
@@ -271,6 +280,7 @@ fn json_string_escaping() {
         include_profile: false,
         demoted: &[],
         peak_rss_bytes: None,
+        phases: &[],
     };
     let json = report.to_json();
     assert!(json

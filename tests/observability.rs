@@ -232,3 +232,65 @@ fn profile_and_trace_agree_on_rule_activity() {
         );
     }
 }
+
+/// `pta analyze` reports its front end under the benchmark's layer names:
+/// one `session` span per stage with `--trace`, and the same four names,
+/// in run order, under `"phases"` in the `--stats` JSON.
+#[test]
+fn analyze_names_the_front_end_stages_in_trace_and_stats() {
+    const STAGES: [&str; 4] = ["read", "lex", "parse", "lower"];
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let source = dir.join(format!("pta-obs-stages-{id}.jir"));
+    let trace_path = dir.join(format!("pta-obs-stages-{id}.trace.json"));
+    std::fs::write(&source, SECTION1).unwrap();
+    let pta = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pta"))
+            .arg("analyze")
+            .arg(&source)
+            .args(args)
+            .output()
+            .expect("spawn pta");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+
+    pta(&["--trace", trace_path.to_str().unwrap()]);
+    let doc = json::parse(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+    let events = validate_timeline(&doc);
+    let mut last_end = 0.0;
+    for stage in STAGES {
+        let spans: Vec<&Value> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Value::as_str) == Some(stage))
+            .collect();
+        assert_eq!(spans.len(), 1, "one {stage:?} span");
+        let span = spans[0];
+        assert_eq!(span.get("cat").and_then(Value::as_str), Some("session"));
+        let ts = span.get("ts").and_then(Value::as_number).unwrap();
+        assert!(
+            ts >= last_end,
+            "{stage:?} starts before the previous stage ends"
+        );
+        last_end = ts + span.get("dur").and_then(Value::as_number).unwrap();
+    }
+
+    let stdout = pta(&["--stats", "--format", "json"]);
+    let doc = json::parse(&stdout).unwrap();
+    let phases = doc.as_array().unwrap()[0]
+        .get("phases")
+        .expect("--stats JSON carries phases");
+    for stage in STAGES {
+        let ms = phases.get(stage).and_then(Value::as_number);
+        assert!(ms.is_some_and(|ms| ms >= 0.0), "{stage:?}: {ms:?}");
+    }
+    let order: Vec<usize> = STAGES
+        .iter()
+        .map(|s| stdout.find(&format!("\"{s}\":")).unwrap())
+        .collect();
+    assert!(order.windows(2).all(|w| w[0] < w[1]), "run order: {stdout}");
+    // Without --stats the host-measured timings stay out of the report.
+    assert!(!pta(&["--format", "json"]).contains("\"phases\""));
+    let _ = std::fs::remove_file(&source);
+    let _ = std::fs::remove_file(&trace_path);
+}
