@@ -28,6 +28,14 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> tier-1: governance + fault-injection suite"
 cargo test -q -p pta-core --test governance
 
+# Gating: incremental maintenance vs from-scratch solves. Every apply of
+# seeded edit streams (all policies, both back ends) must match a fresh
+# solve in every projection; results held across later applies must not
+# change (the projections are shared copy-on-write with the retained
+# solver); and the pinned fallback decisions must not move.
+echo "==> tier-1: incremental-equivalence suite"
+cargo test -q -p pta-core --test incremental_equivalence
+
 # Gating: starved-budget smoke. A deliberately exhausted step budget
 # under --degrade must still exit 0 and report its demotions (W007).
 echo "==> tier-1: starved-budget smoke (--max-steps 1000 --degrade)"

@@ -24,6 +24,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use pta_datalog::{Engine, RelId, Term, VerifyReport};
 use pta_govern::{Budget, CancelToken};
@@ -32,7 +33,7 @@ use pta_ir::{FieldId, HeapId, Instr, InvoId, MethodId, Program, TypeId, VarId};
 
 use crate::context::{CtxId, CtxInterner, HCtxId, HCtxInterner};
 use crate::policy::ContextPolicy;
-use crate::results::PointsToResult;
+use crate::results::{PointsToResult, Projections};
 
 fn v(name: &str) -> Term {
     Term::var(name)
@@ -235,10 +236,14 @@ where
     };
 
     PointsToResult {
-        var_points_to,
+        proj: Arc::new(Projections {
+            var_points_to,
+            call_targets,
+            reachable: reachable_set,
+            field_points_to,
+            static_points_to,
+        }),
         call_graph_edges: cg_insens.len(),
-        call_targets,
-        reachable: reachable_set,
         ctx_vpt_count: e.len(vpt) as u64,
         ctx_call_graph_edges: e.len(call_graph) as u64,
         ctx_reachable_count: e.len(reachable) as u64,
@@ -249,8 +254,6 @@ where
         fld_provenance: None,
         static_fld_provenance: None,
         uncaught,
-        field_points_to,
-        static_points_to,
         ctx_interner,
         hctx_interner,
         stats: solver_stats,

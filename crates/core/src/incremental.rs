@@ -147,20 +147,11 @@ impl<P: ContextPolicy> Solver<P> {
         new_program: &Arc<Program>,
         delta: &ProgramDelta,
     ) -> ApplyOutcome {
-        if !self.config.retain {
-            return ApplyOutcome::Fallback("solver was not retained");
-        }
-        if self.config.degrade || self.has_demotions() {
-            return ApplyOutcome::Fallback("graceful degradation in play");
-        }
-        if delta.may_change_base_dispatch() {
-            return ApplyOutcome::Fallback("delta may override existing dispatch");
-        }
-        let retracting = delta.has_retractions();
-        if self.exc_seen && (retracting || !delta.added_catches().is_empty()) {
-            return ApplyOutcome::Fallback("retraction under live exception flow");
+        if let Some(reason) = self.early_fallback(delta) {
+            return ApplyOutcome::Fallback(reason);
         }
 
+        let retracting = delta.has_retractions();
         let mut apply_stats = ApplyStats::default();
         let vpt_before = self.stats.vpt_inserted;
         if retracting {
@@ -189,6 +180,27 @@ impl<P: ContextPolicy> Solver<P> {
         let termination = self.run_loop();
         apply_stats.maintained_tuples = self.stats.vpt_inserted - vpt_before;
         ApplyOutcome::Done(termination, apply_stats)
+    }
+
+    /// The fallback reasons that follow from `delta` and the solver's
+    /// state alone, without the edited program: the session asks before
+    /// it advances the program, so a forced re-solve need not keep the
+    /// old version alive. `None` means maintenance will be attempted (a
+    /// retraction can still fall back on the size of its cone).
+    pub(crate) fn early_fallback(&self, delta: &ProgramDelta) -> Option<&'static str> {
+        if !self.config.retain {
+            return Some("solver was not retained");
+        }
+        if self.config.degrade || self.has_demotions() {
+            return Some("graceful degradation in play");
+        }
+        if delta.may_change_base_dispatch() {
+            return Some("delta may override existing dispatch");
+        }
+        if self.exc_seen && (delta.has_retractions() || !delta.added_catches().is_empty()) {
+            return Some("retraction under live exception flow");
+        }
+        None
     }
 
     /// Installs the new program and its static index, growing the

@@ -54,7 +54,7 @@
 //! deposited fact is lost) and return a sound partial prefix.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
 use pta_govern::{CancelToken, Termination};
@@ -65,7 +65,7 @@ use crate::context::{Ctx, CtxId, CtxInterner, DenseMap, HCtxId, HCtxInterner, He
 use crate::policy::ContextPolicy;
 use crate::pts::PtsSet;
 use crate::pts_store::PtsStore;
-use crate::results::{DemotedSite, PointsToResult, SolverStats};
+use crate::results::{DemotedSite, PointsToResult, Projections, SolverStats};
 use crate::solver::{
     SolverConfig, StaticIndex, DEFAULT_WATERMARK, NOT_DEMOTED, ROW_ASSIGN, ROW_LOAD_ON,
     ROW_SSTORE_OF, ROW_STORE_OF, ROW_STORE_ON, ROW_THROWN, ROW_VCALL_ON,
@@ -1699,10 +1699,14 @@ fn merge_results<P: ContextPolicy>(
     stats.par_rounds = rounds;
 
     PointsToResult {
-        var_points_to,
+        proj: Arc::new(Projections {
+            var_points_to,
+            call_targets,
+            reachable,
+            field_points_to,
+            static_points_to,
+        }),
         call_graph_edges: cg_insens_total,
-        call_targets,
-        reachable,
         ctx_vpt_count,
         ctx_call_graph_edges: ctx_cg_edges,
         ctx_reachable_count: ctx_reach.len() as u64,
@@ -1713,8 +1717,6 @@ fn merge_results<P: ContextPolicy>(
         fld_provenance: None,
         static_fld_provenance: None,
         uncaught,
-        field_points_to,
-        static_points_to,
         ctx_interner: ctxs,
         hctx_interner: hctxs,
         stats,

@@ -11,6 +11,8 @@
 //! (see `SolverConfig::keep_tuples`) for clients that inspect per-context
 //! facts, such as the `quickstart` example.
 
+use std::sync::Arc;
+
 use pta_govern::Termination;
 use pta_ir::hash::{FxHashMap, FxHashSet};
 use pta_ir::{FieldId, HeapId, InvoId, MethodId, Program, VarId};
@@ -288,13 +290,34 @@ impl std::fmt::Display for SolverStats {
     }
 }
 
+/// The context-insensitive projections of a fixpoint: every per-entity
+/// view the public accessors of [`PointsToResult`] answer from, each set
+/// sorted by ID.
+///
+/// A result holds them behind an [`Arc`] so a retained solver can keep the
+/// same maps as its projection cache and patch them copy-on-write at the
+/// next incremental build (`Arc::make_mut`): a caller that already dropped
+/// the previous result costs no copy, one that still holds it gets one.
+#[derive(Debug, Clone)]
+pub(crate) struct Projections {
+    /// Variable → heap abstractions it may point to.
+    pub(crate) var_points_to: FxHashMap<VarId, Vec<HeapId>>,
+    /// Invocation site → possible callees.
+    pub(crate) call_targets: FxHashMap<InvoId, Vec<MethodId>>,
+    /// Methods reachable under some context.
+    pub(crate) reachable: FxHashSet<MethodId>,
+    /// Instance-field view: `(base heap, field)` → heap abstractions
+    /// stored there under some context.
+    pub(crate) field_points_to: FxHashMap<(HeapId, FieldId), Vec<HeapId>>,
+    /// Static-field view: field → heap abstractions stored there.
+    pub(crate) static_points_to: FxHashMap<FieldId, Vec<HeapId>>,
+}
+
 /// The result of running a points-to analysis over a program.
 #[derive(Debug)]
 pub struct PointsToResult {
-    pub(crate) var_points_to: FxHashMap<VarId, Vec<HeapId>>,
-    pub(crate) call_targets: FxHashMap<InvoId, Vec<MethodId>>,
+    pub(crate) proj: Arc<Projections>,
     pub(crate) call_graph_edges: usize,
-    pub(crate) reachable: FxHashSet<MethodId>,
     pub(crate) ctx_vpt_count: u64,
     pub(crate) ctx_call_graph_edges: u64,
     pub(crate) ctx_reachable_count: u64,
@@ -305,12 +328,6 @@ pub struct PointsToResult {
     pub(crate) fld_provenance: Option<FxHashMap<FldProvKey, CtxVarPointsTo>>,
     pub(crate) static_fld_provenance: Option<FxHashMap<(FieldId, HeapId, HCtxId), CtxVarPointsTo>>,
     pub(crate) uncaught: Vec<HeapId>,
-    /// Context-insensitive instance-field view: `(base heap, field)` →
-    /// sorted heap abstractions stored there under some context.
-    pub(crate) field_points_to: FxHashMap<(HeapId, FieldId), Vec<HeapId>>,
-    /// Context-insensitive static-field view: field → sorted heap
-    /// abstractions stored there.
-    pub(crate) static_points_to: FxHashMap<FieldId, Vec<HeapId>>,
     pub(crate) ctx_interner: CtxInterner,
     pub(crate) hctx_interner: HCtxInterner,
     pub(crate) stats: SolverStats,
@@ -330,7 +347,8 @@ impl PointsToResult {
     ///
     /// Empty for variables the analysis never reached.
     pub fn points_to(&self, var: VarId) -> &[HeapId] {
-        self.var_points_to
+        self.proj
+            .var_points_to
             .get(&var)
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -340,7 +358,8 @@ impl PointsToResult {
     ///
     /// For static call sites this is the single static target (if reached).
     pub fn call_targets(&self, invo: InvoId) -> &[MethodId] {
-        self.call_targets
+        self.proj
+            .call_targets
             .get(&invo)
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -354,17 +373,17 @@ impl PointsToResult {
 
     /// `true` if the analysis found `meth` reachable in some context.
     pub fn is_reachable(&self, meth: MethodId) -> bool {
-        self.reachable.contains(&meth)
+        self.proj.reachable.contains(&meth)
     }
 
     /// The set of reachable methods.
     pub fn reachable_methods(&self) -> impl Iterator<Item = MethodId> + '_ {
-        self.reachable.iter().copied()
+        self.proj.reachable.iter().copied()
     }
 
     /// Number of reachable methods.
     pub fn reachable_method_count(&self) -> usize {
-        self.reachable.len()
+        self.proj.reachable.len()
     }
 
     /// Total number of context-sensitive `VarPointsTo` tuples — the paper's
@@ -591,7 +610,8 @@ impl PointsToResult {
     /// projected down to allocation sites — the heap-graph view client
     /// analyses (taint reachability, escape) traverse.
     pub fn field_points_to(&self, base: HeapId, field: FieldId) -> &[HeapId] {
-        self.field_points_to
+        self.proj
+            .field_points_to
             .get(&(base, field))
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -602,13 +622,17 @@ impl PointsToResult {
     pub fn field_points_to_iter(
         &self,
     ) -> impl Iterator<Item = ((HeapId, FieldId), &[HeapId])> + '_ {
-        self.field_points_to.iter().map(|(&k, v)| (k, v.as_slice()))
+        self.proj
+            .field_points_to
+            .iter()
+            .map(|(&k, v)| (k, v.as_slice()))
     }
 
     /// The (context-insensitive) points-to set of static field `field`,
     /// sorted by heap ID. Empty if nothing was ever stored there.
     pub fn static_points_to(&self, field: FieldId) -> &[HeapId] {
-        self.static_points_to
+        self.proj
+            .static_points_to
             .get(&field)
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -617,7 +641,8 @@ impl PointsToResult {
     /// Iterates every populated static field with its sorted points-to
     /// set, in unspecified order.
     pub fn static_points_to_iter(&self) -> impl Iterator<Item = (FieldId, &[HeapId])> + '_ {
-        self.static_points_to
+        self.proj
+            .static_points_to
             .iter()
             .map(|(&k, v)| (k, v.as_slice()))
     }
@@ -646,20 +671,25 @@ impl PointsToResult {
     /// The average points-to set size over variables of reachable methods
     /// with non-empty sets — the paper's "avg objs per var" metric.
     pub fn average_points_to_size(&self) -> f64 {
-        if self.var_points_to.is_empty() {
+        if self.proj.var_points_to.is_empty() {
             return 0.0;
         }
-        let total: u64 = self.var_points_to.values().map(|v| v.len() as u64).sum();
-        total as f64 / self.var_points_to.len() as f64
+        let total: u64 = self
+            .proj
+            .var_points_to
+            .values()
+            .map(|v| v.len() as u64)
+            .sum();
+        total as f64 / self.proj.var_points_to.len() as f64
     }
 
     /// The median points-to set size over variables with non-empty sets.
     /// (The paper notes this is 1 for all analyses and benchmarks.)
     pub fn median_points_to_size(&self) -> usize {
-        if self.var_points_to.is_empty() {
+        if self.proj.var_points_to.is_empty() {
             return 0;
         }
-        let mut sizes: Vec<usize> = self.var_points_to.values().map(Vec::len).collect();
+        let mut sizes: Vec<usize> = self.proj.var_points_to.values().map(Vec::len).collect();
         sizes.sort_unstable();
         sizes[sizes.len() / 2]
     }

@@ -149,17 +149,6 @@ impl AnalysisSession<Analysis> {
             metrics: pta_obs::Metrics::disabled(),
         }
     }
-
-    /// Compatibility shim for the historical borrowing constructor:
-    /// clones `program` into an owned session.
-    #[deprecated(
-        since = "0.9.0",
-        note = "sessions own their program now — use `AnalysisSession::open(program)` \
-                or `AnalysisSession::from_arc(arc)` instead of borrowing"
-    )]
-    pub fn new(program: &Program) -> AnalysisSession<Analysis> {
-        AnalysisSession::from_arc(Arc::new(program.clone()))
-    }
 }
 
 impl<P: ContextPolicy> AnalysisSession<P> {
@@ -460,11 +449,16 @@ impl<P: ContextPolicy> AnalysisSession<P> {
     where
         P: Clone + 'static,
     {
-        let new_program = self.advance_program(delta)?;
+        // Fallbacks decidable from the delta alone are settled before the
+        // program advances: a solver that cannot maintain the edit has no
+        // use for the old version, so the edit can go in place.
+        let early = self.retained.as_ref().and_then(|s| s.early_fallback(delta));
+        let maintain = self.retained.is_some() && early.is_none();
+        let new_program = self.advance_program(delta, maintain)?;
         self.last_apply_was_incremental = false;
-        self.last_fallback = None;
+        self.last_fallback = early;
         self.last_apply_stats = None;
-        if let Some(mut solver) = self.retained.take() {
+        if let Some(mut solver) = self.retained.take().filter(|_| maintain) {
             match solver.apply_delta(&new_program, delta) {
                 ApplyOutcome::Done(termination, apply_stats) => {
                     self.program = new_program;
@@ -546,22 +540,28 @@ impl<P: ContextPolicy> AnalysisSession<P> {
         }
     }
 
-    /// Produces the next program version from `delta`.
+    /// Produces the next program version from `delta`. `maintain` says
+    /// whether the retained solver will try to maintain the fixpoint
+    /// under it.
     ///
-    /// For additive deltas the session first recalls the retained
-    /// solver's program handle; if that leaves this session as the sole
-    /// owner of the current version, the edit mutates the program in
-    /// place — no arena clones. Any caller that kept an `Arc` to the
-    /// current version defeats uniqueness and gets the cloning path, so
-    /// old versions handed out through [`AnalysisSession::program`] are
-    /// never disturbed. Retracting deltas always clone: the maintenance
-    /// layer's cone collection reads the *old* program.
+    /// The session first recalls the retained solver's program handle; if
+    /// that leaves this session as the sole owner of the current version,
+    /// the edit mutates the program in place — no arena clones. Any
+    /// caller that kept an `Arc` to the current version defeats
+    /// uniqueness and gets the cloning path, so old versions handed out
+    /// through [`AnalysisSession::program`] are never disturbed. A
+    /// retracting delta that will be maintained also clones: the
+    /// maintenance layer's cone collection reads the *old* program.
     ///
     /// On `Err` the session (program and retained solver) is unchanged.
     /// On `Ok` the session's program slot holds a placeholder until the
     /// caller installs the returned version.
-    fn advance_program(&mut self, delta: &ProgramDelta) -> Result<Arc<Program>, DeltaError> {
-        if delta.has_retractions() {
+    fn advance_program(
+        &mut self,
+        delta: &ProgramDelta,
+        maintain: bool,
+    ) -> Result<Arc<Program>, DeltaError> {
+        if maintain && delta.has_retractions() {
             return Ok(Arc::new(self.program.apply_delta(delta)?));
         }
         if let Some(s) = self.retained.as_mut() {
@@ -590,15 +590,6 @@ impl<P: ContextPolicy> AnalysisSession<P> {
                 Err(e)
             }
         }
-    }
-
-    /// Compatibility shim for the historical one-shot entry point.
-    #[deprecated(since = "0.9.0", note = "use `solve()` — sessions are reusable now")]
-    pub fn run(mut self) -> PointsToResult
-    where
-        P: Clone + 'static,
-    {
-        self.solve()
     }
 }
 

@@ -61,7 +61,9 @@ use crate::fault::FaultPlan;
 use crate::policy::ContextPolicy;
 use crate::pts::PtsSet;
 use crate::pts_store::PtsStore;
-use crate::results::{CtxVarPointsTo, DemotedSite, Derivation, PointsToResult, SolverStats};
+use crate::results::{
+    CtxVarPointsTo, DemotedSite, Derivation, PointsToResult, Projections, SolverStats,
+};
 
 /// Solver configuration.
 #[derive(Debug, Clone)]
@@ -675,21 +677,20 @@ pub(crate) struct Solver<P: ContextPolicy> {
     demoted_sites: Vec<DemotedSite>,
 
     /// Cached context-insensitive projections, carried across retained
-    /// incremental applies so [`Solver::build_result`] only recomputes
-    /// the variables that actually changed. Built on the first retained
-    /// build, patched additively, and dropped on any retracting apply
-    /// (retraction can shrink sets, which the dirty tracking does not
-    /// observe).
+    /// incremental applies so [`Solver::build_result`] only patches what
+    /// changed. Built on the first retained build (sharing the maps it
+    /// hands to the result), patched additively, and dropped on any
+    /// retracting apply (retraction can shrink sets, which the dirty
+    /// tracking does not observe).
     proj_cache: Option<Box<ProjCache>>,
 }
 
 /// See [`Solver::proj_cache`].
 struct ProjCache {
-    /// Insens variable points-to as of the last build, re-derived per
-    /// dirty variable.
-    var_points_to: FxHashMap<VarId, Vec<HeapId>>,
-    /// Insens call targets as of the last build, patched from `cg_new`.
-    call_targets: FxHashMap<InvoId, Vec<MethodId>>,
+    /// The projections as of the last build, shared with the result that
+    /// build returned. The next build patches them through
+    /// `Arc::make_mut`, which copies only while that result is alive.
+    proj: Arc<Projections>,
     /// Reverse index: variable -> its interned `(var, ctx)` key IDs.
     /// Appended by [`Solver::key_id`] while the cache is live.
     var_keys: Vec<Vec<u32>>,
@@ -697,9 +698,89 @@ struct ProjCache {
     dirty_vars: FxHashSet<u32>,
     /// Insens call-graph edges inserted since the last build.
     cg_new: Vec<(InvoId, MethodId)>,
+    /// Insens instance-field facts inserted since the last build.
+    fld_new: Vec<((HeapId, FieldId), HeapId)>,
+    /// Insens static-field facts inserted since the last build.
+    static_new: Vec<(FieldId, HeapId)>,
+    /// Methods that gained a reachable context since the last build.
+    reach_new: Vec<MethodId>,
     /// Running context-sensitive tuple count (matches the sum of all
     /// entry set sizes; valid because additive applies never remove).
     ctx_vpt: u64,
+}
+
+impl ProjCache {
+    /// Seeds a cache that shares `proj`, indexing every interned key.
+    fn seed(
+        proj: Arc<Projections>,
+        vkeys: &DenseMap<(u32, u32)>,
+        n_vars: usize,
+        ctx_vpt: u64,
+    ) -> ProjCache {
+        let mut var_keys: Vec<Vec<u32>> = Vec::new();
+        var_keys.resize_with(n_vars, Vec::new);
+        for (key, &(var, _ctx)) in vkeys.keys().iter().enumerate() {
+            var_keys[var as usize].push(key as u32);
+        }
+        ProjCache {
+            proj,
+            var_keys,
+            dirty_vars: FxHashSet::default(),
+            cg_new: Vec::new(),
+            fld_new: Vec::new(),
+            static_new: Vec::new(),
+            reach_new: Vec::new(),
+            ctx_vpt,
+        }
+    }
+
+    /// Folds everything recorded since the last build into the shared
+    /// projections: dirty variables are re-derived from their keys, the
+    /// other views absorb their logged insertions.
+    fn patch(&mut self, entries: &[VarEntry], objs: &DenseMap<(u32, u32)>) {
+        let proj = Arc::make_mut(&mut self.proj);
+        for var in self.dirty_vars.drain() {
+            let mut heaps: Vec<HeapId> = Vec::new();
+            if let Some(keys) = self.var_keys.get(var as usize) {
+                for &key in keys {
+                    for obj in entries[key as usize].set.iter() {
+                        heaps.push(HeapId::from_raw(objs.resolve(obj).0));
+                    }
+                }
+            }
+            heaps.sort_unstable();
+            heaps.dedup();
+            if heaps.is_empty() {
+                proj.var_points_to.remove(&VarId::from_raw(var));
+            } else {
+                proj.var_points_to.insert(VarId::from_raw(var), heaps);
+            }
+        }
+        fold_sorted(&mut proj.call_targets, &mut self.cg_new);
+        fold_sorted(&mut proj.field_points_to, &mut self.fld_new);
+        fold_sorted(&mut proj.static_points_to, &mut self.static_new);
+        proj.reachable.extend(self.reach_new.drain(..));
+    }
+}
+
+/// Drains `(key, value)` insertions into a map of sorted, deduplicated
+/// sets, re-sorting only the cells they touched.
+fn fold_sorted<K: Copy + Ord + std::hash::Hash, V: Ord>(
+    map: &mut FxHashMap<K, Vec<V>>,
+    new: &mut Vec<(K, V)>,
+) {
+    let mut touched: Vec<K> = Vec::with_capacity(new.len());
+    for (key, value) in new.drain(..) {
+        map.entry(key).or_default().push(value);
+        touched.push(key);
+    }
+    touched.sort_unstable();
+    touched.dedup();
+    for key in touched {
+        let cell = map.get_mut(&key).expect("touched cell was just inserted");
+        cell.sort_unstable();
+        cell.dedup();
+    }
 }
 
 impl<P: ContextPolicy> Solver<P> {
@@ -1205,6 +1286,16 @@ impl<P: ContextPolicy> Solver<P> {
         if !fresh.is_empty() {
             self.stats.fld_inserted += fresh.len() as u64;
             self.prof_derive(R_STORE, fresh.len() as u64);
+            if let Some(cache) = self.proj_cache.as_deref_mut() {
+                let cell = (
+                    HeapId::from_raw(self.objs.resolve(base_obj).0),
+                    FieldId::from_raw(field),
+                );
+                for &v in &fresh {
+                    let heap = HeapId::from_raw(self.objs.resolve(v).0);
+                    cache.fld_new.push((cell, heap));
+                }
+            }
             if self.config.track_provenance {
                 for &v in &fresh {
                     self.fld_provenance.insert((fe, v), src_key);
@@ -1249,6 +1340,12 @@ impl<P: ContextPolicy> Solver<P> {
         }
         if !fresh.is_empty() {
             self.prof_derive(R_SSTORE, fresh.len() as u64);
+            if let Some(cache) = self.proj_cache.as_deref_mut() {
+                for &v in &fresh {
+                    let heap = HeapId::from_raw(self.objs.resolve(v).0);
+                    cache.static_new.push((FieldId::from_raw(field), heap));
+                }
+            }
             if self.config.track_provenance {
                 for &v in &fresh {
                     self.static_fld_provenance.insert((field, v), src_key);
@@ -1275,6 +1372,9 @@ impl<P: ContextPolicy> Solver<P> {
         // one: un-tombstone, re-enqueue, and re-count the fan-out.
         let fresh = self.reachable.len() > before || self.reach_dead.remove(&id);
         if fresh {
+            if let Some(cache) = self.proj_cache.as_deref_mut() {
+                cache.reach_new.push(MethodId::from_raw(meth));
+            }
             self.reach_queue.push_back((meth, ctx));
             self.method_fanout[meth as usize] += 1;
             if self.config.degrade
@@ -1705,108 +1805,47 @@ impl<P: ContextPolicy> Solver<P> {
                 }
             };
 
-        let (mut var_points_to, cached_call_targets, ctx_vpt_count);
-        if let Some(cache) = self.proj_cache.as_deref_mut().filter(|_| retain) {
-            // Incremental build: re-derive only the variables whose sets
-            // grew since the last build, fold the new call edges in, and
-            // clone the patched cache into the result.
-            for var in cache.dirty_vars.drain() {
-                let mut heaps: Vec<HeapId> = Vec::new();
-                if let Some(keys) = cache.var_keys.get(var as usize) {
-                    for &key in keys {
-                        for obj in self.entries[key as usize].set.iter() {
-                            heaps.push(HeapId::from_raw(self.objs.resolve(obj).0));
-                        }
-                    }
+        let (proj, ctx_vpt_count) = match self.proj_cache.as_deref_mut().filter(|_| retain) {
+            // Incremental build: patch the shared projections with what
+            // changed since the last build.
+            Some(cache) => {
+                cache.patch(&self.entries, &self.objs);
+                (Arc::clone(&cache.proj), cache.ctx_vpt)
+            }
+            None => {
+                let (proj, ctx_vpt) = self.project();
+                let proj = Arc::new(proj);
+                if retain {
+                    // First retained build (or first after a retracting
+                    // apply): the cache shares the maps just built.
+                    self.proj_cache = Some(Box::new(ProjCache::seed(
+                        Arc::clone(&proj),
+                        &self.vkeys,
+                        self.program.var_count(),
+                        ctx_vpt,
+                    )));
                 }
-                heaps.sort_unstable();
-                heaps.dedup();
-                if heaps.is_empty() {
-                    cache.var_points_to.remove(&VarId::from_raw(var));
-                } else {
-                    cache.var_points_to.insert(VarId::from_raw(var), heaps);
-                }
+                (proj, ctx_vpt)
             }
-            let mut touched: Vec<InvoId> = Vec::with_capacity(cache.cg_new.len());
-            for (invo, meth) in cache.cg_new.drain(..) {
-                cache.call_targets.entry(invo).or_default().push(meth);
-                touched.push(invo);
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            for invo in touched {
-                let v = cache
-                    .call_targets
-                    .get_mut(&invo)
-                    .expect("touched invo was just inserted");
-                v.sort_unstable();
-                v.dedup();
-            }
-            var_points_to = cache.var_points_to.clone();
-            cached_call_targets = Some(cache.call_targets.clone());
-            ctx_vpt_count = cache.ctx_vpt;
-        } else {
-            // Context-insensitive projection via counting sort over
-            // variables: scatter every tuple's heap into one flat
-            // per-var-segmented array, then sort/dedup each segment — no
-            // per-tuple hashing.
-            let mut vpt_total = 0u64;
-            let n_vars = self.program.var_count();
-            let mut starts = vec![0u32; n_vars + 1];
-            for (key, entry) in self.entries.iter().enumerate() {
-                vpt_total += entry.set.len() as u64;
-                let (var, _ctx) = self.vkeys.resolve(key as u32);
-                starts[var as usize + 1] += entry.set.len() as u32;
-            }
-            for i in 0..n_vars {
-                starts[i + 1] += starts[i];
-            }
-            let mut flat = vec![0u32; vpt_total as usize];
-            let mut cursor = starts.clone();
-            for (key, entry) in self.entries.iter().enumerate() {
-                if entry.set.is_empty() {
-                    continue;
-                }
-                let (var, _ctx) = self.vkeys.resolve(key as u32);
-                let c = &mut cursor[var as usize];
-                for obj in entry.set.iter() {
-                    flat[*c as usize] = self.objs.resolve(obj).0;
-                    *c += 1;
-                }
-            }
-            var_points_to = FxHashMap::default();
-            for var in 0..n_vars {
-                let seg = &mut flat[starts[var] as usize..starts[var + 1] as usize];
-                if seg.is_empty() {
-                    continue;
-                }
-                seg.sort_unstable();
-                let mut heaps: Vec<HeapId> = Vec::with_capacity(seg.len());
-                let mut last = u32::MAX;
-                for &h in seg.iter() {
-                    if h != last {
-                        heaps.push(HeapId::from_raw(h));
-                        last = h;
-                    }
-                }
-                var_points_to.insert(VarId::from_raw(var as u32), heaps);
-            }
-            cached_call_targets = None;
-            ctx_vpt_count = vpt_total;
-        }
+        };
 
         // Rule-level profile plus the hottest variables by final
         // context-projected set size (top 10, deterministic tie-break on
         // the variable id).
         let profile = self.prof.take().map(|p| {
-            let mut sizes: Vec<(usize, VarId)> = var_points_to
-                .iter()
-                .map(|(&v, heaps)| (heaps.len(), v))
-                .collect();
-            sizes.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            let hot = sizes
+            // A bounded insertion keeps only the ten best, ordered by
+            // size descending, then variable ascending.
+            let mut top: Vec<(usize, VarId)> = Vec::with_capacity(11);
+            for (&v, heaps) in &proj.var_points_to {
+                let n = heaps.len();
+                let at = top.partition_point(|&(m, w)| m > n || (m == n && w < v));
+                if at < 10 {
+                    top.insert(at, (n, v));
+                    top.truncate(10);
+                }
+            }
+            let hot = top
                 .into_iter()
-                .take(10)
                 .map(|(len, v)| pta_obs::HotVar {
                     name: format!(
                         "{}::{}",
@@ -1819,46 +1858,6 @@ impl<P: ContextPolicy> Solver<P> {
                 .collect();
             Box::new(p.into_profile(hot))
         });
-
-        let call_targets = if let Some(ct) = cached_call_targets {
-            ct
-        } else {
-            let mut call_targets: FxHashMap<InvoId, Vec<MethodId>> = FxHashMap::default();
-            for &(invo, meth) in &self.cg_insens {
-                call_targets.entry(invo).or_default().push(meth);
-            }
-            for v in call_targets.values_mut() {
-                v.sort_unstable();
-                v.dedup();
-            }
-            if retain {
-                // First retained build (or first after a retracting
-                // apply): seed the projection cache from the projections
-                // just computed in full.
-                let mut var_keys: Vec<Vec<u32>> = Vec::new();
-                var_keys.resize_with(self.program.var_count(), Vec::new);
-                for key in 0..self.vkeys.len() as u32 {
-                    let (var, _ctx) = self.vkeys.resolve(key);
-                    var_keys[var as usize].push(key);
-                }
-                self.proj_cache = Some(Box::new(ProjCache {
-                    var_points_to: var_points_to.clone(),
-                    call_targets: call_targets.clone(),
-                    var_keys,
-                    dirty_vars: FxHashSet::default(),
-                    cg_new: Vec::new(),
-                    ctx_vpt: ctx_vpt_count,
-                }));
-            }
-            call_targets
-        };
-
-        let mut reachable: FxHashSet<MethodId> = FxHashSet::default();
-        for (id, &(m, _ctx)) in self.reachable.keys().iter().enumerate() {
-            if !self.reach_dead.contains(&(id as u32)) {
-                reachable.insert(MethodId::from_raw(m));
-            }
-        }
 
         let tuples = if self.config.keep_tuples {
             let mut out = Vec::with_capacity(ctx_vpt_count as usize);
@@ -1928,44 +1927,6 @@ impl<P: ContextPolicy> Solver<P> {
         };
         uncaught.sort_unstable();
 
-        // Context-insensitive heap-graph projections: (base heap, field)
-        // and static-field cells, sorted/deduped so both back ends (and
-        // all thread counts) produce byte-identical views.
-        let mut field_points_to: FxHashMap<(HeapId, FieldId), Vec<HeapId>> = FxHashMap::default();
-        for (fe, entry) in self.fentries.iter().enumerate() {
-            if entry.set.is_empty() {
-                continue;
-            }
-            let (base_obj, field) = self.fkeys.resolve(fe as u32);
-            let base = HeapId::from_raw(self.objs.resolve(base_obj).0);
-            let cell = field_points_to
-                .entry((base, FieldId::from_raw(field)))
-                .or_default();
-            for obj in entry.set.iter() {
-                cell.push(HeapId::from_raw(self.objs.resolve(obj).0));
-            }
-        }
-        for v in field_points_to.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        let mut static_points_to: FxHashMap<FieldId, Vec<HeapId>> = FxHashMap::default();
-        for (fld, entry) in self.statics.iter().enumerate() {
-            if entry.set.is_empty() {
-                continue;
-            }
-            let cell = static_points_to
-                .entry(FieldId::from_raw(fld as u32))
-                .or_default();
-            for obj in entry.set.iter() {
-                cell.push(HeapId::from_raw(self.objs.resolve(obj).0));
-            }
-        }
-        for v in static_points_to.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-
         let fld_provenance = if self.config.track_provenance {
             Some(
                 self.fld_provenance
@@ -2026,10 +1987,8 @@ impl<P: ContextPolicy> Solver<P> {
         };
 
         PointsToResult {
-            var_points_to,
+            proj,
             call_graph_edges: self.cg_insens.len(),
-            call_targets,
-            reachable,
             ctx_vpt_count,
             ctx_call_graph_edges: self.ctx_cg_edges,
             ctx_reachable_count: (self.reachable.len() - self.reach_dead.len()) as u64,
@@ -2040,8 +1999,6 @@ impl<P: ContextPolicy> Solver<P> {
             fld_provenance,
             static_fld_provenance,
             uncaught,
-            field_points_to,
-            static_points_to,
             ctx_interner,
             hctx_interner,
             stats: self.stats,
@@ -2050,5 +2007,120 @@ impl<P: ContextPolicy> Solver<P> {
             demoted,
             profile,
         }
+    }
+
+    /// Computes every context-insensitive projection from scratch, plus
+    /// the context-sensitive tuple count. Every set is sorted and
+    /// deduplicated so both back ends (and all thread counts) produce
+    /// byte-identical views.
+    fn project(&self) -> (Projections, u64) {
+        // Variables via counting sort: scatter every tuple's heap into one
+        // flat per-var-segmented array, then sort/dedup each segment — no
+        // per-tuple hashing. Scoped so the scratch arrays are freed before
+        // the other views are built.
+        let (var_points_to, vpt_total) = {
+            let mut vpt_total = 0u64;
+            let n_vars = self.program.var_count();
+            let mut starts = vec![0u32; n_vars + 1];
+            for (key, entry) in self.entries.iter().enumerate() {
+                vpt_total += entry.set.len() as u64;
+                let (var, _ctx) = self.vkeys.resolve(key as u32);
+                starts[var as usize + 1] += entry.set.len() as u32;
+            }
+            for i in 0..n_vars {
+                starts[i + 1] += starts[i];
+            }
+            let mut flat = vec![0u32; vpt_total as usize];
+            let mut cursor = starts.clone();
+            for (key, entry) in self.entries.iter().enumerate() {
+                if entry.set.is_empty() {
+                    continue;
+                }
+                let (var, _ctx) = self.vkeys.resolve(key as u32);
+                let c = &mut cursor[var as usize];
+                for obj in entry.set.iter() {
+                    flat[*c as usize] = self.objs.resolve(obj).0;
+                    *c += 1;
+                }
+            }
+            let mut var_points_to: FxHashMap<VarId, Vec<HeapId>> = FxHashMap::default();
+            for var in 0..n_vars {
+                let seg = &mut flat[starts[var] as usize..starts[var + 1] as usize];
+                if seg.is_empty() {
+                    continue;
+                }
+                seg.sort_unstable();
+                let mut heaps: Vec<HeapId> = Vec::with_capacity(seg.len());
+                let mut last = u32::MAX;
+                for &h in seg.iter() {
+                    if h != last {
+                        heaps.push(HeapId::from_raw(h));
+                        last = h;
+                    }
+                }
+                var_points_to.insert(VarId::from_raw(var as u32), heaps);
+            }
+            (var_points_to, vpt_total)
+        };
+
+        let mut call_targets: FxHashMap<InvoId, Vec<MethodId>> = FxHashMap::default();
+        for &(invo, meth) in &self.cg_insens {
+            call_targets.entry(invo).or_default().push(meth);
+        }
+        for v in call_targets.values_mut() {
+            v.sort_unstable();
+            v.dedup();
+        }
+
+        let mut reachable: FxHashSet<MethodId> = FxHashSet::default();
+        for (id, &(m, _ctx)) in self.reachable.keys().iter().enumerate() {
+            if !self.reach_dead.contains(&(id as u32)) {
+                reachable.insert(MethodId::from_raw(m));
+            }
+        }
+
+        let mut field_points_to: FxHashMap<(HeapId, FieldId), Vec<HeapId>> = FxHashMap::default();
+        for (fe, entry) in self.fentries.iter().enumerate() {
+            if entry.set.is_empty() {
+                continue;
+            }
+            let (base_obj, field) = self.fkeys.resolve(fe as u32);
+            let base = HeapId::from_raw(self.objs.resolve(base_obj).0);
+            let cell = field_points_to
+                .entry((base, FieldId::from_raw(field)))
+                .or_default();
+            for obj in entry.set.iter() {
+                cell.push(HeapId::from_raw(self.objs.resolve(obj).0));
+            }
+        }
+        for v in field_points_to.values_mut() {
+            v.sort_unstable();
+            v.dedup();
+        }
+        let mut static_points_to: FxHashMap<FieldId, Vec<HeapId>> = FxHashMap::default();
+        for (fld, entry) in self.statics.iter().enumerate() {
+            if entry.set.is_empty() {
+                continue;
+            }
+            let cell = static_points_to
+                .entry(FieldId::from_raw(fld as u32))
+                .or_default();
+            for obj in entry.set.iter() {
+                cell.push(HeapId::from_raw(self.objs.resolve(obj).0));
+            }
+        }
+        for v in static_points_to.values_mut() {
+            v.sort_unstable();
+            v.dedup();
+        }
+
+        let proj = Projections {
+            var_points_to,
+            call_targets,
+            reachable,
+            field_points_to,
+            static_points_to,
+        };
+        (proj, vpt_total)
     }
 }

@@ -13,11 +13,11 @@
 //! is small enough to debug.
 //!
 //! The fingerprint compares semantic projections only — points-to sets,
-//! call graph, reachability, context-sensitive tuple counts, uncaught
-//! exceptions. Interner sizes (`SolverStats::contexts` etc.) are
-//! deliberately excluded: a retained session keeps interned contexts for
-//! retracted facts, and that slack is specified behavior, not a leak of
-//! analysis meaning.
+//! call graph, reachable methods, the instance- and static-field views,
+//! context-sensitive tuple counts, uncaught exceptions. Interner sizes
+//! (`SolverStats::contexts` etc.) are deliberately excluded: a retained
+//! session keeps interned contexts for retracted facts, and that slack is
+//! specified behavior, not a leak of analysis meaning.
 
 use pta_core::{Analysis, AnalysisSession, Backend, PointsToResult};
 use pta_ir::{Program, ProgramBuilder, ProgramDelta};
@@ -36,8 +36,16 @@ fn fingerprint(program: &Program, r: &PointsToResult) -> String {
             out.push_str(&format!("c{:?}={:?};", invo, r.call_targets(invo)));
         }
     }
+    let mut fields: Vec<_> = r.field_points_to_iter().collect();
+    fields.sort_unstable();
+    out.push_str(&format!("f={fields:?};"));
+    let mut statics: Vec<_> = r.static_points_to_iter().collect();
+    statics.sort_unstable();
+    out.push_str(&format!("s={statics:?};"));
+    let mut reachable: Vec<_> = r.reachable_methods().collect();
+    reachable.sort_unstable();
     out.push_str(&format!(
-        "reach={};edges={};ctx_vpt={};ctx_edges={};uncaught={:?}",
+        "reach={reachable:?};n_reach={};edges={};ctx_vpt={};ctx_edges={};uncaught={:?}",
         r.reachable_method_count(),
         r.call_graph_edge_count(),
         r.ctx_var_points_to_count(),
@@ -487,4 +495,173 @@ fn retraction_path_keeps_shared_store_counters_monotone() {
         saved = now;
         program = next;
     }
+}
+
+/// A delta that declares `Leaf.follow()`, overriding the inherited
+/// `Node.follow` for receivers that already exist: additive in the
+/// program, retracting in the derived call graph, so `apply` falls back.
+fn override_follow(program: &Program) -> ProgramDelta {
+    let leaf = program
+        .types()
+        .find(|&t| program.type_name(t) == "Leaf")
+        .unwrap();
+    let mut d = ProgramDelta::new(program);
+    let follow = d.method(leaf, "follow", &[], false);
+    let r = d.var(follow, "r");
+    d.alloc(follow, r, leaf, "leaf FOLLOW");
+    d.set_return(follow, r);
+    d
+}
+
+/// Results share their projections with the retained solver, which
+/// patches them copy-on-write at the next build. A caller holding any
+/// earlier result must never see it change, whichever path the later
+/// applies take (additive, retracting or fallback), and every new result
+/// must still match a from-scratch solve.
+#[test]
+fn held_results_survive_later_applies() {
+    // `(program, result, fingerprint)` for every version handed out.
+    fn hold(
+        held: &mut Vec<(Program, PointsToResult, String)>,
+        program: &Program,
+        r: PointsToResult,
+    ) {
+        let print = fingerprint(program, &r);
+        held.push((program.clone(), r, print));
+    }
+    fn check(held: &[(Program, PointsToResult, String)], what: &str) {
+        for (k, (program, r, print)) in held.iter().enumerate() {
+            assert_eq!(
+                &fingerprint(program, r),
+                print,
+                "{what}: result of version {k} changed after later applies"
+            );
+        }
+    }
+
+    // Streams: luindex mixes additive, retracting and churn-fallback
+    // applies; hsqldb adds exception-guard fallbacks.
+    for (workload, seed, n) in [("luindex", 1, 20), ("hsqldb", 1, 10)] {
+        let base = dacapo_workload(workload, 0.1);
+        let mut stream = EditStream::new(base.clone(), seed);
+        let mut session = AnalysisSession::open(base.clone())
+            .policy(Analysis::TwoObjH)
+            .incremental(true);
+        let mut held = Vec::new();
+        hold(&mut held, &base, session.solve());
+        for _ in 0..n {
+            let delta = stream.next_delta();
+            let r = session.apply(&delta).unwrap();
+            let program = stream.program();
+            assert_eq!(
+                fingerprint(program, &r),
+                scratch(program, Analysis::TwoObjH, Backend::Dense, 1),
+                "{workload}: new result diverged from scratch"
+            );
+            hold(&mut held, program, r);
+        }
+        check(&held, workload);
+    }
+
+    // Hand-built: additive, retracting, then a dispatch-override
+    // fallback, then additive again on the re-solved state.
+    let base = throw_free_base();
+    let mut session = AnalysisSession::open(base.clone())
+        .policy(Analysis::OneObj)
+        .incremental(true);
+    let mut held = Vec::new();
+    hold(&mut held, &base, session.solve());
+    let main = base
+        .methods()
+        .find(|&m| base.method_name(m) == "main")
+        .unwrap();
+    let node_ty = base.types().find(|&t| base.type_name(t) == "Node").unwrap();
+    let mut program = base.clone();
+    for what in [
+        "additive",
+        "retracting",
+        "fallback",
+        "additive after fallback",
+    ] {
+        let delta = match what {
+            "retracting" => {
+                let mut d = ProgramDelta::new(&program);
+                d.remove_instr(main, 1);
+                d
+            }
+            "fallback" => override_follow(&program),
+            _ => {
+                let mut d = ProgramDelta::new(&program);
+                let v = d.var(main, what);
+                d.alloc(main, v, node_ty, what);
+                d
+            }
+        };
+        program = program.apply_delta(&delta).unwrap();
+        let r = session.apply(&delta).unwrap();
+        assert_eq!(
+            session.last_apply_was_incremental(),
+            what != "fallback",
+            "{what}: unexpected path ({:?})",
+            session.last_fallback()
+        );
+        assert_eq!(
+            fingerprint(&program, &r),
+            scratch(&program, Analysis::OneObj, Backend::Dense, 1),
+            "{what}"
+        );
+        hold(&mut held, &program, r);
+        check(&held, what);
+    }
+}
+
+/// One letter per apply: `I` additive and maintained, `R` retracting and
+/// maintained, `X`/`D`/`C` the fallback reasons (exception flow,
+/// dispatch override, churn).
+fn outcome(session: &AnalysisSession) -> char {
+    if session.last_apply_was_incremental() {
+        let stats = session
+            .last_apply_stats()
+            .expect("incremental applies report stats");
+        return if stats.retraction { 'R' } else { 'I' };
+    }
+    match session.last_fallback() {
+        Some("retraction under live exception flow") => 'X',
+        Some("delta may override existing dispatch") => 'D',
+        Some("retraction cone exceeds churn threshold") => 'C',
+        other => panic!("unexpected fallback {other:?}"),
+    }
+}
+
+/// Which applies fall back, and why, is part of the maintenance layer's
+/// behavior: deciding the up-front guards before the program advances
+/// must not move a single outcome. The sequences below were recorded
+/// before that change, on fixed `EditStream` seeds under 2obj+H.
+#[test]
+fn fallback_decisions_are_pinned() {
+    for (workload, seed, want) in [
+        ("luindex", 1, "IIIIIRIIRIIIIIIICIICIIIRIIIIIRIIRIICIRII"),
+        ("hsqldb", 1, "IIXIIXIIXXXIIXIIIIIXXIIIXIIIIIXIIXIIIIXI"),
+    ] {
+        let base = dacapo_workload(workload, 0.1);
+        let mut stream = EditStream::new(base.clone(), seed);
+        let mut session = AnalysisSession::open(base)
+            .policy(Analysis::TwoObjH)
+            .incremental(true);
+        session.solve();
+        let mut got = String::new();
+        for _ in 0..want.len() {
+            session.apply(&stream.next_delta()).unwrap();
+            got.push(outcome(&session));
+        }
+        assert_eq!(got, want, "{workload} seed {seed}");
+    }
+
+    let base = throw_free_base();
+    let mut session = AnalysisSession::open(base.clone())
+        .policy(Analysis::TwoObjH)
+        .incremental(true);
+    session.solve();
+    session.apply(&override_follow(&base)).unwrap();
+    assert_eq!(outcome(&session), 'D');
 }
